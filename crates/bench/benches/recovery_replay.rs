@@ -1,46 +1,37 @@
-//! Bench: crash-recovery replay through the incremental grounding
-//! engine vs a cold cache rebuild, on the WAL-length axis.
+//! Bench: what a reopen costs, end to end through `Database::open`, on
+//! the WAL-length axis — against the cold grounding it no longer pays.
 //!
-//! The durability design (cqa-storage) recovers by grounding the
-//! *snapshot* state once, applying every surviving WAL delta to the
-//! instance, and warming the caches again on the final state — the
-//! second warm finds the snapshot-state entry and *evolves* it
-//! (seminaive for insertions, DRed for deletions), so replay cost scales
-//! with the net drift, not with `WAL length × grounding cost`.
+//! `Database::open` decodes the snapshot and replays the surviving WAL
+//! frames; nothing else. The grounding and worklist caches fill on first
+//! use. Two series per WAL length N ∈ {10, 100, 1000} over a ~6000-atom
+//! snapshot (Example-19 shape, conflicts fixed), nothing warmed in
+//! untimed setup:
 //!
-//! Two series per WAL length N ∈ {10, 100, 1000} over a ~4000-atom
-//! snapshot (Example-19 shape, conflicts fixed):
+//! * `open/N` — `Database::open` on the store, then drop.
+//! * `cold_rebuild/N` — the same open, followed by a scratch
+//!   `warm_caches_in` on the recovered state: the grounding Π(D, IC) and
+//!   the root violation scan a first program-route call would build.
+//!   This is what every reopen cost while `open` warmed eagerly.
 //!
-//! * `replay/N` — what `Database::open` does: the store is opened and
-//!   its deltas applied *in the timed region*, but the caches handed in
-//!   were warmed at the snapshot state during untimed setup, so the
-//!   final warm takes the incremental reground path.
-//! * `cold_rebuild/N` — identical timed region, but the caches start
-//!   empty: the final warm grounds the recovered state from scratch.
-//!   What recovery would cost without the incremental engine.
-//!
-//! `bench_check` enforces `replay/1000 ≤ 0.5 × cold_rebuild/1000`
-//! within the same run (host-independent): if recovery silently stops
-//! riding the incremental path, the ratio collapses to ~1 and the gate
-//! trips.
+//! `bench_check` enforces `open/1000 ≤ 0.1 × cold_rebuild/1000` within
+//! the same run (host-independent): if `open` starts deriving state
+//! again, the two series converge and the gate trips.
 
+use cqa::Database;
 use cqa_bench::harness::Harness;
-use cqa_core::{warm_caches_in, CqaCaches, ProgramStyle};
-use cqa_relational::{s, DatabaseAtom, InstanceDelta};
-use cqa_storage::{DurableStore, FsyncPolicy, StoreOptions, WalOp};
+use cqa_core::{warm_caches_in, ProgramStyle};
+use cqa_relational::s;
+use cqa_storage::{FsyncPolicy, StoreOptions};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
 /// Clean pairs in the snapshot: ~2·N + 3 atoms, large enough that a
-/// 1000-delta drift stays well under the grounding cache's rebuild
-/// escape hatch (1/2 of the instance) — and that the cold rebuild's
-/// instance-proportional cost clearly dominates the drift-proportional
-/// replay at the gated 1000-delta point.
+/// cold grounding clearly dominates decode and replay.
 const CLEAN: usize = 3000;
 
 fn options() -> StoreOptions {
     StoreOptions {
-        // Replay cost is the subject, not fsync latency; and compaction
+        // Open cost is the subject, not fsync latency; and compaction
         // must not fold the WAL away mid-recording.
         fsync: FsyncPolicy::Never,
         compact_min_wal_bytes: u64::MAX,
@@ -50,77 +41,53 @@ fn options() -> StoreOptions {
 
 /// A store whose snapshot holds the base workload and whose WAL holds
 /// `n` single-insert deltas (fresh R rows, never conflicting).
-fn store_with_wal(n: usize, w: &cqa_bench::Workload) -> PathBuf {
+fn store_with_wal(n: usize, w: cqa_bench::Workload) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cqa-bench-recovery-{n}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = DurableStore::create(&dir, &w.instance, &w.ics, options()).unwrap();
-    let rel = w.instance.schema().rel_id("R").unwrap();
+    let mut db = Database::persistent_with(&dir, w.instance, w.ics, options()).unwrap();
     for k in 0..n {
-        let mut delta = InstanceDelta::default();
-        delta.added.insert(DatabaseAtom::new(
-            rel,
-            [s(&format!("w{k}")), s("wy")].into(),
-        ));
-        store.append_delta(&delta).unwrap();
+        assert!(db.insert("R", [s(&format!("w{k}")), s("wy")]).unwrap());
     }
-    store.sync().unwrap();
+    db.sync().unwrap();
     dir
 }
 
-/// The timed region both series share — exactly `Database::open`'s
-/// recovery tail: open the store, apply every recovered delta, warm the
-/// caches on the final state.
-fn recover(dir: &Path, caches: &CqaCaches) -> usize {
-    let (_store, rec) = DurableStore::open(dir, options()).unwrap();
-    let mut inst = rec.snapshot_instance;
-    for (_, op) in &rec.ops {
-        if let WalOp::Delta(delta) = op {
-            inst.apply(delta.added.iter().cloned(), delta.removed.iter().cloned());
-        }
-    }
-    warm_caches_in(&inst, &rec.ics, ProgramStyle::Corrected, caches).unwrap();
-    inst.len()
+fn open(dir: &Path) -> Database {
+    Database::open_with(dir, options()).unwrap()
 }
 
 fn recovery_replay() {
     let mut group = Harness::new("recovery_replay");
-    let style = ProgramStyle::Corrected;
     let mut gate_ratio = f64::NAN;
     for &n in &[10usize, 100, 1000] {
-        let w = cqa_bench::example19_scaled(CLEAN, 2, 1, 31);
-        let dir = store_with_wal(n, &w);
+        let dir = store_with_wal(n, cqa_bench::example19_scaled(CLEAN, 2, 1, 31));
 
-        let replay = group
-            .bench_with_setup(
-                format!("replay/{n}"),
-                || {
-                    // Untimed: the warm trajectory a never-crashed
-                    // process had — a grounding of the snapshot state.
-                    let caches = CqaCaches::new();
-                    warm_caches_in(&w.instance, &w.ics, style, &caches).unwrap();
-                    caches
-                },
-                |caches| black_box(recover(&dir, &caches)),
-            )
-            .median_ns;
-
-        let cold = group
-            .bench_with_setup(format!("cold_rebuild/{n}"), CqaCaches::new, |caches| {
-                black_box(recover(&dir, &caches))
+        let opened = group
+            .bench(format!("open/{n}"), || {
+                black_box(open(&dir).instance().len())
             })
             .median_ns;
 
-        let ratio = replay as f64 / cold.max(1) as f64;
+        let cold = group
+            .bench(format!("cold_rebuild/{n}"), || {
+                let db = open(&dir);
+                let style = ProgramStyle::default();
+                warm_caches_in(db.instance(), db.constraints(), style, db.caches()).unwrap();
+                black_box(db.instance().len())
+            })
+            .median_ns;
+
+        let ratio = opened as f64 / cold.max(1) as f64;
         println!(
-            "  -> warm replay vs cold rebuild at wal={n}: {:.1}x faster ({ratio:.3}x)",
-            cold as f64 / replay.max(1) as f64
+            "  -> open vs cold rebuild at wal={n}: {:.1}x faster ({ratio:.3}x)",
+            cold as f64 / opened.max(1) as f64
         );
         if n == 1000 {
             gate_ratio = ratio;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-    println!("  replay/cold_rebuild ratio at wal=1000: {gate_ratio:.3} (target: <= 0.5)");
+    println!("  open/cold_rebuild ratio at wal=1000: {gate_ratio:.3} (target: <= 0.1)");
     group.finish();
 }
 

@@ -493,12 +493,10 @@ impl CqaCaches {
 /// ground Π(d, IC) into the grounding cache (unpruned, the program
 /// route's default) and scan the root worklist.
 ///
-/// This is the recovery hook for durable databases: warm on the snapshot
-/// state, apply the WAL deltas to the instance, then warm again on the
-/// final state — the second call finds a version-mismatched entry and
-/// rides the *incremental reground* path, so a reopened database resumes
-/// with the same warm-cache trajectory a never-crashed process had,
-/// instead of paying a cold from-scratch grounding on its next query.
+/// An explicit pre-warm: it does up front exactly what the first
+/// program-route call and the first violation scan would do on a miss.
+/// `Database::open` does not call it — a reopen loads data only — so
+/// benchmarks use it to time a cold grounding of a recovered state.
 pub fn warm_caches_in(
     d: &Instance,
     ics: &IcSet,

@@ -294,7 +294,7 @@ impl SymbolSource {
     /// Decode a table emitted by [`SymbolSink::encode_table`].
     pub fn decode_table(r: &mut Reader<'_>) -> Result<Self, StorageError> {
         let count = r.len_u32()? as usize;
-        let mut symbols = Vec::with_capacity(count);
+        let mut symbols = Vec::with_capacity(count.min(r.remaining()));
         for _ in 0..count {
             symbols.push(Symbol::intern(r.str()?));
         }
@@ -504,7 +504,7 @@ fn decode_ic_atoms(
     schema: &Schema,
 ) -> Result<Vec<(String, Vec<TermSpec>)>, StorageError> {
     let count = r.len_u32()? as usize;
-    let mut atoms = Vec::with_capacity(count);
+    let mut atoms = Vec::with_capacity(count.min(r.remaining()));
     for _ in 0..count {
         let rel = RelId(r.u32()?);
         if rel.index() >= schema.len() {
@@ -515,7 +515,7 @@ fn decode_ic_atoms(
         }
         let name = schema.relation(rel).name().to_string();
         let arity = r.len_u32()? as usize;
-        let mut terms = Vec::with_capacity(arity);
+        let mut terms = Vec::with_capacity(arity.min(r.remaining()));
         for _ in 0..arity {
             terms.push(decode_term(source, r, var_names)?);
         }
@@ -555,14 +555,14 @@ pub fn decode_constraint(
         0 => {
             let name = r.str()?.to_string();
             let var_count = r.len_u32()? as usize;
-            let mut var_names = Vec::with_capacity(var_count);
+            let mut var_names = Vec::with_capacity(var_count.min(r.remaining()));
             for _ in 0..var_count {
                 var_names.push(r.str()?.to_string());
             }
             let body = decode_ic_atoms(source, r, &var_names, schema)?;
             let head = decode_ic_atoms(source, r, &var_names, schema)?;
             let builtin_count = r.len_u32()? as usize;
-            let mut builtins = Vec::with_capacity(builtin_count);
+            let mut builtins = Vec::with_capacity(builtin_count.min(r.remaining()));
             for _ in 0..builtin_count {
                 let op = decode_cmp(r.u8()?)?;
                 let lhs = decode_term(source, r, &var_names)?;
@@ -688,6 +688,7 @@ mod tests {
     use super::*;
     use cqa_relational::{i, null, s};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -825,6 +826,77 @@ mod tests {
         let mut trailing = encode_constraint_op(&Nnc::new(&schema, "t", "s", 1).unwrap().into());
         trailing.push(0);
         assert!(decode_op(&trailing, &schema).is_err());
+    }
+
+    /// `prefix`, then a count of [`MAX_SECTION_LEN`], then a few bytes
+    /// that cannot hold that many entries.
+    fn huge_count_after(prefix: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        prefix(&mut w);
+        w.u32(MAX_SECTION_LEN);
+        w.raw(&[1, 0, 0, 0, b'x']);
+        w.into_bytes()
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(out: Result<T, StorageError>, what: &str) {
+        assert!(
+            matches!(out, Err(StorageError::Corrupt { .. })),
+            "{what}: expected Corrupt, got {out:?}"
+        );
+    }
+
+    fn one_rel_schema() -> Arc<Schema> {
+        Schema::builder()
+            .relation("r", ["x"])
+            .finish()
+            .unwrap()
+            .into_shared()
+    }
+
+    #[test]
+    fn symbol_table_count_is_bounded_by_input() {
+        let bytes = huge_count_after(|_| {});
+        let out = SymbolSource::decode_table(&mut Reader::new(&bytes, "test"));
+        assert_corrupt(out.map(|t| t.symbols.len()), "symbol table");
+    }
+
+    #[test]
+    fn constraint_atom_counts_are_bounded_by_input() {
+        let schema = one_rel_schema();
+        let source = SymbolSource::decode_table(&mut Reader::new(&[0; 4], "test")).unwrap();
+        let vars = ["x".to_string()];
+        // The atom count, then one atom's arity.
+        for bytes in [
+            huge_count_after(|_| {}),
+            huge_count_after(|w| {
+                w.u32(1);
+                w.u32(0);
+            }),
+        ] {
+            let mut r = Reader::new(&bytes, "test");
+            assert_corrupt(decode_ic_atoms(&source, &mut r, &vars, &schema), "ic atoms");
+        }
+    }
+
+    #[test]
+    fn constraint_variable_and_builtin_counts_are_bounded_by_input() {
+        let schema = one_rel_schema();
+        let source = SymbolSource::decode_table(&mut Reader::new(&[0; 4], "test")).unwrap();
+        let header = |w: &mut Writer| {
+            w.u8(0);
+            w.str("ic");
+        };
+        let var_count = huge_count_after(header);
+        let builtin_count = huge_count_after(|w| {
+            header(w);
+            w.u32(0); // variables
+            w.u32(0); // body atoms
+            w.u32(0); // head atoms
+        });
+        for (bytes, what) in [(var_count, "var_count"), (builtin_count, "builtin_count")] {
+            let mut r = Reader::new(&bytes, "test");
+            assert_corrupt(decode_constraint(&source, &mut r, &schema), what);
+        }
     }
 
     #[test]

@@ -325,7 +325,7 @@ fn decode_manifest_body(bytes: &[u8], manifest_len: u64) -> Result<DecodedManife
     for _ in 0..rel_count {
         let name = r.str()?.to_string();
         let arity = r.len_u32()? as usize;
-        let mut attrs = Vec::with_capacity(arity);
+        let mut attrs = Vec::with_capacity(arity.min(r.remaining()));
         for _ in 0..arity {
             attrs.push(r.str()?.to_string());
         }
@@ -336,7 +336,7 @@ fn decode_manifest_body(bytes: &[u8], manifest_len: u64) -> Result<DecodedManife
     let source = SymbolSource::decode_table(&mut r)?;
     let ics = decode_constraints(&source, &mut r, &schema)?;
 
-    let mut segments = Vec::with_capacity(rel_count);
+    let mut segments = Vec::with_capacity(rel_count.min(r.remaining()));
     let mut total_bytes = manifest_len;
     for _ in 0..rel_count {
         let name = r.str()?.to_string();
@@ -676,6 +676,35 @@ mod tests {
             );
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_counts_are_bounded_by_input() {
+        // A relation count, then one relation's arity, of MAX_SECTION_LEN
+        // followed by a few bytes: Corrupt, never an oversized allocation.
+        let with_count = |relation: bool| {
+            let mut w = Writer::new();
+            w.u64(0); // last_seq
+            w.u64(1); // epoch
+            if relation {
+                w.u32(1);
+                w.str("r");
+            }
+            w.u32(crate::codec::MAX_SECTION_LEN);
+            w.raw(&[1, 0, 0, 0, b'x']);
+            w.into_bytes()
+        };
+        for relation in [false, true] {
+            let bytes = with_count(relation);
+            assert!(
+                matches!(
+                    decode_manifest_body(&bytes, 0),
+                    Err(StorageError::Corrupt { .. })
+                ),
+                "huge {} count must be Corrupt",
+                if relation { "arity" } else { "relation" }
+            );
+        }
     }
 
     #[test]

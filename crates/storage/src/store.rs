@@ -46,9 +46,8 @@
 //!   delta frames.
 //!
 //! The store moves bytes and sequence numbers; it never interprets the
-//! ops. Replaying them through the incremental grounding machinery is
-//! the facade's job — that is what makes a reopened database arrive
-//! *warm*, not just consistent.
+//! ops. Applying them to the snapshot state is the facade's job, and
+//! that replay is all a reopen does: caches fill on first use.
 
 use crate::codec::{encode_constraint_op, encode_delta_op, WalOp};
 use crate::error::StorageError;
@@ -174,8 +173,7 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct Recovered {
     /// The instance exactly as the snapshot recorded it (WAL ops
-    /// **not** yet applied) — the caller replays [`Recovered::ops`]
-    /// through its own incremental paths.
+    /// **not** yet applied) — the caller replays [`Recovered::ops`].
     pub snapshot_instance: Instance,
     /// The constraint set as of the snapshot (WAL constraint frames
     /// **not** yet applied).

@@ -155,9 +155,11 @@ impl From<cqa_relational::RelationalError> for Error {
 /// to the write-ahead log *before* mutating, so an acknowledged write
 /// survives `kill -9`. Under the default fsync policy acknowledgments
 /// are group-committed: concurrent appends share one covering fsync
-/// without weakening the contract. Recovery replays surviving frames
-/// through the same incremental grounding machinery ordinary churn
-/// uses, so a reopened database arrives consistent *and* warm.
+/// without weakening the contract. [`Database::open`] loads the
+/// snapshot and replays the surviving deltas and constraint frames;
+/// derived state (groundings, violation worklists) is never persisted
+/// or rebuilt at open — the caches fill on first use, and a constraint
+/// outside Definition 9 never blocks a reopen.
 /// [`Database::storage_stats`] exposes the write-path counters.
 /// Clones of a *persistent* database are **read-only**: two handles
 /// with divergent in-memory views interleaving WAL appends would leave
@@ -290,23 +292,24 @@ impl Database {
     }
 
     /// Reopen the durable database at `path` with default
-    /// [`StoreOptions`]: load the snapshot, replay surviving WAL frames
-    /// (truncating any torn tail), and warm the grounding/worklist
-    /// caches along the way. [`Database::recovery_report`] says what
-    /// recovery found.
+    /// [`StoreOptions`]: load the snapshot and replay surviving WAL
+    /// frames (truncating any torn tail) — data deltas are applied and
+    /// constraint frames pushed, nothing else. The grounding and
+    /// worklist caches start empty and fill on first use, so a
+    /// constraint outside Definition 9 never blocks a reopen: only the
+    /// program route refuses it, when called. [`Database::recovery_report`]
+    /// says what recovery found.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
         Database::open_with(path, StoreOptions::default())
     }
 
     /// [`Database::open`] with explicit [`StoreOptions`].
     ///
-    /// Recovery replays the WAL through the same incremental paths
-    /// ordinary churn uses: the grounding cache is warmed on the
-    /// snapshot state, the deltas are applied, and the final state is
-    /// re-warmed — the second pass finds the drifted entry and evolves
-    /// it in place (DRed for removals, seminaive for insertions), so the
-    /// reopened database resumes the warm-cache trajectory a
-    /// never-crashed process had.
+    /// Opening costs decode plus replay, proportional to the stored
+    /// bytes. The FO-rewrite and chase routes never read a grounding;
+    /// the first program-route call grounds Π(D, IC) once, exactly as
+    /// on a fresh in-memory database, and later churn regrounds
+    /// incrementally from there.
     pub fn open_with(path: impl AsRef<Path>, options: StoreOptions) -> Result<Self, Error> {
         Database::open_with_vfs(path, options, Arc::new(cqa_storage::RealVfs))
     }
@@ -320,45 +323,18 @@ impl Database {
         vfs: Arc<dyn cqa_storage::Vfs>,
     ) -> Result<Self, Error> {
         let (store, recovered) = DurableStore::open_with_vfs(path.as_ref(), options, vfs)?;
-        let caches = Arc::new(CqaCaches::new());
-        let style = ProgramStyle::default();
         let mut instance = recovered.snapshot_instance;
         let mut constraints = recovered.ics;
-        let replaying_constraints = recovered
-            .ops
-            .iter()
-            .any(|(_, op)| matches!(op, WalOp::Constraint(_)));
-        if !recovered.ops.is_empty() && !replaying_constraints {
-            // Ground the snapshot state first, then evolve that grounding
-            // across the whole WAL in one incremental step — the replay
-            // cost scales with the net drift, not the WAL length.
-            cqa_core::warm_caches_in(&instance, &constraints, style, &caches)?;
-        }
-        for (_, op) in &recovered.ops {
+        for (_, op) in recovered.ops {
             match op {
-                WalOp::Delta(delta) => {
-                    instance.apply(delta.added.iter().cloned(), delta.removed.iter().cloned());
-                }
-                // A replayed constraint changes the program itself, which
-                // invalidates any grounding keyed on the old constraint
-                // set — so with constraint frames in the log the single
-                // warm below (on the final state) is the whole warm-up.
-                WalOp::Constraint(con) => constraints.push(con.clone()),
+                WalOp::Delta(delta) => instance.apply(delta.added, delta.removed),
+                WalOp::Constraint(con) => constraints.push(con),
             }
         }
-        cqa_core::warm_caches_in(&instance, &constraints, style, &caches)?;
-        Ok(Database {
-            instance,
-            constraints,
-            config: RepairConfig::default(),
-            program_style: style,
-            caches,
-            storage: Some(Arc::new(store)),
-            recovery: Some(recovered.report),
-            writer: true,
-            deadline: None,
-            cancel: CancelToken::new(),
-        })
+        let mut db = Database::new(instance, constraints);
+        db.storage = Some(Arc::new(store));
+        db.recovery = Some(recovered.report);
+        Ok(db)
     }
 
     /// What recovery found and did, if this database came from

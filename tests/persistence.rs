@@ -1,7 +1,8 @@
 //! Facade-level durability: `Database::persistent` / `Database::open`
-//! round-trips, recovery reports, corrupted-tail handling, and the
-//! warm-cache recovery trajectory (ISSUE 6 acceptance: reopen-then-churn
-//! shows *regrounds*, not rebuilds).
+//! round-trips, recovery reports, corrupted-tail handling, and the cache
+//! trajectory after a reopen: `open` loads the snapshot and replays the
+//! deltas, nothing else; the grounding fills on first use, and churn
+//! after that *regrounds*, never rebuilds.
 //!
 //! Every test owns a scratch directory under the system temp dir and
 //! cleans it up on entry, so re-runs and parallel tests never collide.
@@ -87,34 +88,47 @@ fn reopen_then_churn_regrounds_not_rebuilds() {
             .insert("r", [cqa::s(&format!("pad{k}")), cqa::s("z")])
             .unwrap());
     }
+    let never_closed = db.repairs_via_program().unwrap();
     drop(db);
 
-    // Recovery replays the WAL through the incremental engine: the
-    // snapshot state is grounded (miss), then the whole WAL drift is
-    // evolved onto it (reground) — never a rebuild, and the reopened
-    // handle starts *warm*.
+    // Recovery loads data and nothing else: no grounding at open.
     let mut back = Database::open(&dir).unwrap();
     let stats = back.caches().grounding.stats();
     assert_eq!(
-        (stats.misses, stats.regrounds, stats.rebuilds),
-        (1, 1, 0),
-        "recovery = one snapshot grounding + one incremental evolve"
+        (
+            stats.hits,
+            stats.misses,
+            stats.regrounds,
+            stats.rebuilds,
+            stats.evictions
+        ),
+        (0, 0, 0, 0, 0),
+        "open touches no grounding"
     );
 
-    // First query after reopen rides the recovered grounding: a pure hit.
+    // The first program-route call grounds the recovered state once.
     let first = back.repairs_via_program().unwrap();
     let stats = back.caches().grounding.stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1), "reopen starts warm");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.regrounds, stats.rebuilds),
+        (0, 1, 0, 0),
+        "first use after reopen = exactly one miss"
+    );
+    assert_eq!(first, never_closed);
 
-    // Churn after reopen continues the incremental trajectory.
+    // Churn after reopen rides the incremental trajectory from there:
+    // an insertion (seminaive) and a deletion (DRed), each answered.
     assert!(back.insert("r", [cqa::s("post"), cqa::s("z")]).unwrap());
+    let after_insert = back.repairs_via_program().unwrap();
     assert!(back.delete("r", [cqa::s("pad0"), cqa::s("z")]).unwrap());
     let second = back.repairs_via_program().unwrap();
     let stats = back.caches().grounding.stats();
     assert_eq!(stats.rebuilds, 0, "churn after reopen must not rebuild");
     assert_eq!(stats.regrounds, 2, "…it regrounds incrementally");
+    assert_eq!(stats.misses, 1, "…on the grounding the first call made");
     // The clean churn rows shift the repair instances but not the
     // conflict structure: still the one key conflict, two resolutions.
+    assert_eq!(first.len(), after_insert.len());
     assert_eq!(first.len(), second.len());
     assert_eq!(second, back.repairs().unwrap());
 }

@@ -8,7 +8,8 @@
 //! FD, composite-determinant FD, NNC, denial — the pool of
 //! `tests/engine_vs_program.rs`), the whole pool at once, a check
 //! constraint, a constraint added through `add_constraint` (a constraint
-//! WAL frame). Routes: the planner's pick
+//! WAL frame), and a general existential `p(x) -> exists z: q(x, z, z)`
+//! that lies outside Definition 9. Routes: the planner's pick
 //! (FO-rewrite, chase or enumeration — each must occur somewhere in the
 //! suite), forced enumeration, repair enumeration, and the program route
 //! wherever Definition 9 applies.
@@ -19,12 +20,13 @@
 use cqa::constraints::{builders, v, Constraint, Ic, IcSet};
 use cqa::core::query::AnswerSemantics;
 use cqa::core::{
-    consistent_answers_enumerated, consistent_answers_via_program, PlanRoute, ProgramStyle,
-    QueryNullSemantics, RepairConfig,
+    consistent_answers_enumerated, consistent_answers_via_program, CoreError, PlanRoute,
+    ProgramStyle, QueryNullSemantics, RepairConfig,
 };
 use cqa::prelude::*;
 use cqa::relational::testing::XorShift;
 use cqa::storage::{FsyncPolicy, StoreOptions};
+use cqa::Error;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -304,6 +306,15 @@ fn every_constraint_class_round_trips_on_every_route() {
         added: Some(("den_added", "p(x), r(x, x) -> false")),
         program: true,
     });
+    cases.push(Case {
+        name: "exist".into(),
+        ics: [cqa::sql::parse_constraint(&sc, "wit", "p(x) -> exists z: q(x, z, z)").unwrap()]
+            .into_iter()
+            .collect(),
+        added: None,
+        program: false,
+    });
+
     let mut routes = Vec::new();
     for case in &cases {
         let mut any_inconsistent = false;
@@ -322,4 +333,53 @@ fn every_constraint_class_round_trips_on_every_route() {
             "no case planned {route:?}: {routes:?}"
         );
     }
+}
+
+/// Seeded regression: a store whose constraint lies outside Definition 9
+/// used to be unreopenable, because `open` grounded the repair program
+/// eagerly and the program route refuses the constraint. Reopen must
+/// succeed and answer; the program route refuses only when called.
+#[test]
+fn existential_store_reopens_and_program_route_refuses_only_when_called() {
+    let dir = scratch("exist-regression");
+    let sc = Schema::builder()
+        .relation("r", ["x"])
+        .relation("q", ["a", "b", "c"])
+        .finish()
+        .unwrap()
+        .into_shared();
+    let mut d = Instance::empty(sc.clone());
+    d.insert_named("r", [s("a")]).unwrap();
+    let ics: IcSet =
+        [cqa::sql::parse_constraint(&sc, "wit", "r(x) -> exists z: q(x, z, z)").unwrap()]
+            .into_iter()
+            .collect();
+    let mut db = Database::persistent_with(&dir, d, ics, options()).unwrap();
+    // A WAL tail: a satisfied witness pair and a churned row.
+    assert!(db.insert("r", [s("b")]).unwrap());
+    assert!(db.insert("q", [s("b"), s("w"), s("w")]).unwrap());
+    assert!(db.insert("r", [s("gone")]).unwrap());
+    assert!(db.delete("r", [s("gone")]).unwrap());
+    let before = db.repairs().unwrap();
+    assert_eq!(before.len(), 2, "delete r(a), or insert q(a, null, null)");
+    drop(db);
+
+    let back = Database::open_with(&dir, options()).expect("an existential store reopens");
+    assert_eq!(back.recovery_report().unwrap().frames_applied, 4);
+    let stats = back.caches().grounding.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.regrounds, stats.rebuilds),
+        (0, 0, 0, 0)
+    );
+    assert_eq!(back.repairs().unwrap(), before);
+    match back.repairs_via_program() {
+        Err(Error::Core(CoreError::UnsupportedByProgram { constraint, .. })) => {
+            assert_eq!(constraint, "wit")
+        }
+        other => panic!("expected UnsupportedByProgram, got {other:?}"),
+    }
+    // The refusal is per call: the handle stays fully usable.
+    assert_eq!(back.repairs().unwrap().len(), 2);
+    drop(back);
+    let _ = std::fs::remove_dir_all(&dir);
 }
