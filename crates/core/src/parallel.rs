@@ -173,6 +173,10 @@ struct Shared<'a> {
     panic_note: Mutex<Option<String>>,
     /// Consistent fixpoints: `(path, Δ, trace)`.
     found: Mutex<Vec<Found>>,
+    /// Test hook, read from the calling thread's [`INJECT_PANIC_AT_NODE`]
+    /// so that only that thread's searches see it.
+    #[cfg(test)]
+    inject_panic_at: usize,
 }
 
 impl Shared<'_> {
@@ -229,6 +233,8 @@ pub(crate) fn search(
         panicked: AtomicBool::new(false),
         panic_note: Mutex::new(None),
         found: Mutex::new(Vec::new()),
+        #[cfg(test)]
+        inject_panic_at: INJECT_PANIC_AT_NODE.with(|n| n.get()),
     };
     lock(&shared.queues[0]).push_back(Task {
         path: Vec::new(),
@@ -384,7 +390,7 @@ fn run_task(shared: &Shared<'_>, id: usize, fork: &mut Instance, applied: &mut D
         return;
     }
     #[cfg(test)]
-    if INJECT_PANIC_AT_NODE.load(Ordering::Relaxed) == nodes {
+    if shared.inject_panic_at == nodes {
         panic!("injected worker panic at node {nodes}");
     }
     reconcile(fork, applied, delta_of(&task.decisions));
@@ -473,10 +479,15 @@ fn run_task(shared: &Shared<'_>, id: usize, fork: &mut Instance, applied: &mut D
     }
 }
 
-/// Test hook: make the task that charges exactly this node number panic
-/// (0 = disabled). Drives the panic-containment unit test below.
 #[cfg(test)]
-static INJECT_PANIC_AT_NODE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Test hook: make the task that charges exactly this node number
+    /// panic (0 = disabled). Drives the panic-containment unit test
+    /// below. It is per calling thread: tests run concurrently in one
+    /// process, and a process-wide switch would fire inside other tests'
+    /// searches.
+    static INJECT_PANIC_AT_NODE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 #[cfg(test)]
 mod tests {
@@ -526,9 +537,9 @@ mod tests {
         // (containment is under test; the report would just be noise).
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        INJECT_PANIC_AT_NODE.store(3, Ordering::Relaxed);
+        INJECT_PANIC_AT_NODE.with(|n| n.set(3));
         let err = search(&d, &ics, config(4), 4, &caches, &CancelToken::never()).unwrap_err();
-        INJECT_PANIC_AT_NODE.store(0, Ordering::Relaxed);
+        INJECT_PANIC_AT_NODE.with(|n| n.set(0));
         std::panic::set_hook(prev);
 
         match err {
